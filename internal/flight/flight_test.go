@@ -80,6 +80,37 @@ func TestErrorsStayCachedUntilForget(t *testing.T) {
 	}
 }
 
+// TestForgetDuringFlight pins the Forget contract the serving layer's
+// Do-then-Forget coalescing relies on: a caller blocked on a computation
+// still receives its result after the key is forgotten mid-flight, and
+// the next Do is an independent flight.
+func TestForgetDuringFlight(t *testing.T) {
+	var g Group[int]
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan int)
+	go func() {
+		v, err, _ := g.Do("k", func() (int, error) {
+			close(entered)
+			<-release
+			return 42, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- v
+	}()
+	<-entered
+	g.Forget("k")
+	close(release)
+	if v := <-done; v != 42 {
+		t.Fatalf("in-flight caller got %d after Forget, want 42", v)
+	}
+	if v, err, hit := g.Do("k", func() (int, error) { return 43, nil }); v != 43 || err != nil || hit {
+		t.Fatalf("post-Forget Do = (%d, %v, %v), want fresh (43, nil, false)", v, err, hit)
+	}
+}
+
 func TestReplaceInstallsWithoutRunning(t *testing.T) {
 	var g Group[string]
 	g.Replace("k", "swapped")

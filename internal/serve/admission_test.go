@@ -131,6 +131,55 @@ func TestGateBoundsAbandonedGoroutines(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHitBypassesFullGate pins that a plan-cache hit is
+// answered before the in-flight gate at ladder step 0: with the single
+// gate slot held, a warmed request still gets its cold bytes at rung
+// full, well inside its deadline and without taking a slot, while a
+// miss on another budget still waits on the gate and times out.
+func TestPlanCacheHitBypassesFullGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model; skipped with -short")
+	}
+	const deadline = 200 * time.Millisecond
+	store := newFakeStore()
+	store.files["pso.json"] = trainedModelJSON(t)
+	srv, ts := newAdmissionTestServer(t, store, func(o *Options) {
+		o.MaxInFlight = 1
+		o.Timeout = deadline
+	})
+	if err := srv.ForceLadderStep(0); err != nil {
+		t.Fatal(err)
+	}
+	status, _, cold := postAs(t, ts.URL+"/v1/dispatch", "", dispatchBody)
+	if status != http.StatusOK {
+		t.Fatalf("warmup: %d %s", status, cold)
+	}
+
+	if err := srv.gate.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.gate.Release()
+	held := srv.gate.InFlight()
+
+	start := time.Now()
+	status, hdr, hit := postAs(t, ts.URL+"/v1/dispatch", "", dispatchBody)
+	if elapsed := time.Since(start); elapsed >= deadline/2 {
+		t.Fatalf("hit took %v with the gate full, deadline %v", elapsed, deadline)
+	}
+	if status != http.StatusOK || hdr.Get(rungHeader) != rungFull {
+		t.Fatalf("hit with the gate full: %d rung %q %s", status, hdr.Get(rungHeader), hit)
+	}
+	assertSameBody(t, "hit with the gate full", hit, cold)
+	if got := srv.gate.InFlight(); got != held {
+		t.Fatalf("hit changed gate occupancy %d -> %d", held, got)
+	}
+
+	status, hdr, body := postAs(t, ts.URL+"/v1/dispatch", "", dispatchWithBudget(7))
+	if status != http.StatusGatewayTimeout || hdr.Get(rungHeader) != rungFull {
+		t.Fatalf("miss with the gate full: %d rung %q %s, want 504 at rung full", status, hdr.Get(rungHeader), body)
+	}
+}
+
 // TestDispatchRateLimit pins the limiter's HTTP face: over-budget
 // clients get 429 + Retry-After with the over_capacity code, and
 // per-client buckets are keyed by the forwarded client identity.

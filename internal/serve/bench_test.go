@@ -8,29 +8,31 @@ import (
 )
 
 // benchServer builds a server over a trained pso model, optionally with
-// the plan cache disabled so every dispatch takes the full path.
+// the plan cache disabled so every dispatch takes the full path. Every
+// benchmark drives dispatch, the one entry point the HTTP handler uses.
 func benchServer(b *testing.B, planCacheCap int) (*Server, *DispatchRequest) {
 	b.Helper()
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(b)
 	s := New(Options{Store: store, Registry: RegistryOptions{RetryBase: 0}, PlanCacheCap: planCacheCap})
 	dreq := planRequest("pso.json", "pso", 10, apps.Params{"swarm": 16, "dim": 4})
-	if _, degraded, err := s.dispatchBody(context.Background(), dreq); err != nil || degraded {
+	if _, degraded, _, err := s.dispatch(context.Background(), dreq); err != nil || degraded {
 		b.Fatalf("warmup: degraded=%v err=%v", degraded, err)
 	}
 	return s, dreq
 }
 
 // BenchmarkDispatchPlanCacheHit is the steady-state serving hot path: a
-// repeat dispatch answered from the plan cache. The acceptance bar is
-// zero allocations and >= 5x faster than BenchmarkDispatchCold.
+// repeat dispatch answered from the plan cache before any timer, gate
+// slot or goroutine. The acceptance bar is zero allocations and >= 5x
+// faster than BenchmarkDispatchCold.
 func BenchmarkDispatchPlanCacheHit(b *testing.B) {
 	s, dreq := benchServer(b, 0)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body, _, err := s.dispatchBody(ctx, dreq)
+		body, _, _, err := s.dispatch(ctx, dreq)
 		if err != nil || body == nil {
 			b.Fatal("hit path failed")
 		}
@@ -39,14 +41,15 @@ func BenchmarkDispatchPlanCacheHit(b *testing.B) {
 
 // BenchmarkDispatchCold is the uncached dispatch: full schedule
 // optimization, diagnosis, recording and serialization on every request
-// (plan cache disabled; the batcher runs a one-item batch each time).
+// (plan cache disabled; each request takes the gate, a goroutine and a
+// one-caller flight).
 func BenchmarkDispatchCold(b *testing.B) {
 	s, dreq := benchServer(b, -1)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body, _, err := s.dispatchBody(ctx, dreq)
+		body, _, _, err := s.dispatch(ctx, dreq)
 		if err != nil || body == nil {
 			b.Fatal("cold path failed")
 		}
@@ -54,8 +57,8 @@ func BenchmarkDispatchCold(b *testing.B) {
 }
 
 // BenchmarkDispatchCoalesced is the concurrent uncached burst: parallel
-// identical dispatches with the plan cache disabled, so the batcher's
-// collapse-and-batch path carries all the load.
+// identical dispatches with the plan cache disabled, so collapsing
+// identical keys onto one flight carries all the load.
 func BenchmarkDispatchCoalesced(b *testing.B) {
 	s, dreq := benchServer(b, -1)
 	ctx := context.Background()
@@ -63,7 +66,7 @@ func BenchmarkDispatchCoalesced(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			body, _, err := s.dispatchBody(ctx, dreq)
+			body, _, _, err := s.dispatch(ctx, dreq)
 			if err != nil || body == nil {
 				b.Error("coalesced path failed")
 				return

@@ -2,9 +2,10 @@ package serve
 
 // The black-box serving conformance suite: for a fixed (model version,
 // params, budget), every serving path must return byte-identical
-// response bodies — cold, plan-cache hit, coalesced under concurrency,
-// sharded behind one replica, and sharded across three replicas with
-// proxy hops — and the identity must survive promote -> rollback cycles.
+// response bodies — cold, plan-cache hit, coalesced onto one flight
+// under concurrency, sharded behind one replica, and sharded across
+// three replicas with proxy hops — and the identity must survive
+// promote -> rollback cycles.
 // The suite only speaks HTTP (plus one ConfigureCluster call per
 // server), so any future cache, coalescing or routing change that skews
 // a single byte fails here regardless of which internal layer caused it.
@@ -91,8 +92,8 @@ func TestServingConformance(t *testing.T) {
 	assertSameBody(t, "plan-cache-hit", hit, want)
 
 	// Path 3: coalesced — plan cache disabled so every request takes the
-	// batcher, and a concurrent burst forces identical-key collapsing
-	// and distinct-arrival batching to actually happen.
+	// computation path, and a concurrent burst makes identical requests
+	// collapse onto shared flights.
 	coalSrv := newTestServer(t, store, func(o *Options) { o.PlanCacheCap = -1 })
 	const burst = 16
 	bodies := make([][]byte, burst)

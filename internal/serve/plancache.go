@@ -57,7 +57,8 @@ type planEntry struct {
 
 // planCache is a bounded LRU over plan entries. A capacity < 0 disables
 // the cache entirely (every lookup misses, nothing is stored) — the
-// coalescing and conformance tests use that to force the batch path.
+// coalescing and conformance tests use that to force every request onto
+// the computation path.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int

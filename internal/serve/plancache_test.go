@@ -146,10 +146,12 @@ func TestPlanCacheDisabled(t *testing.T) {
 // TestPlanCacheNeverServesStaleVersion is the eviction/invalidation
 // property test: across an arbitrary sequence of live-version swaps
 // (reload with changed bytes — the same swap path promote and rollback
-// share), a dispatch served through the cache always reports the
-// current live version. The key's version field makes this hold even if
-// invalidation were skipped entirely; the test also checks the swap
-// hook actually dropped the model's plans.
+// share), a dispatch computed through dispatchBody (the plan-cache miss
+// path, which installs its result in the cache) always reports the
+// current live version, and the swap hook actually drops the model's
+// plans. The key's version field keeps cached plans version-safe even if
+// invalidation were skipped; cache hits after a swap are covered end to
+// end by TestServingConformanceAcrossPromoteRollback.
 func TestPlanCacheNeverServesStaleVersion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model; skipped with -short")
@@ -193,7 +195,7 @@ func TestPlanCacheNeverServesStaleVersion(t *testing.T) {
 			t.Fatalf("cycle %d: swap left %d cached plans for the swapped model", cycle, s.plans.len())
 		}
 		liveVer, _ := s.mgr.LiveVersion("pso.json")
-		for i := 0; i < 3; i++ { // cold, then two cache hits
+		for i := 0; i < 3; i++ { // each request recomputes and reinstalls
 			if got := serve(); got != liveVer {
 				t.Fatalf("cycle %d request %d: served version %s, live is %s", cycle, i, got, liveVer)
 			}
@@ -203,7 +205,8 @@ func TestPlanCacheNeverServesStaleVersion(t *testing.T) {
 
 // TestDispatchPlanCacheHitZeroAllocs pins the acceptance criterion that
 // the steady-state hit path allocates nothing: after warmup, a repeat
-// dispatch is pooled key build + map lookup + cached bytes.
+// dispatch is one ladder update + pooled key build + map lookup + cached
+// bytes.
 func TestDispatchPlanCacheHitZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model; skipped with -short")
@@ -217,11 +220,11 @@ func TestDispatchPlanCacheHitZeroAllocs(t *testing.T) {
 	ctx := context.Background()
 	dreq := planRequest("pso.json", "pso", 10, apps.Params{"swarm": 16, "dim": 4})
 
-	if _, degraded, err := s.dispatchBody(ctx, dreq); err != nil || degraded {
+	if _, degraded, _, err := s.dispatch(ctx, dreq); err != nil || degraded {
 		t.Fatalf("warmup: degraded=%v err=%v", degraded, err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		body, _, err := s.dispatchBody(ctx, dreq)
+		body, _, _, err := s.dispatch(ctx, dreq)
 		if err != nil || body == nil {
 			t.Fatal("hit path failed")
 		}

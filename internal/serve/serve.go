@@ -144,10 +144,11 @@ type Server struct {
 	ctrl      *controller
 
 	// Dispatch acceleration: the plan cache answers repeat dispatches
-	// from cached bytes; the batcher coalesces concurrent misses into one
-	// batched Optimize pass. Both are transparent — see DESIGN.md §12.
-	plans *planCache
-	batch *flight.Batcher[planWork, []byte]
+	// from cached bytes; the flight group collapses concurrent identical
+	// misses onto one computation. Both are transparent — see DESIGN.md
+	// §12.
+	plans   *planCache
+	flights flight.Group[[]byte]
 
 	// Admission control: the rate limiter (nil when disabled), the
 	// in-flight computation gate (nil when uncapped), the degradation
@@ -221,7 +222,6 @@ func New(opts Options) *Server {
 	if opts.Admission != nil {
 		s.limiter = admission.NewLimiter(*opts.Admission)
 	}
-	s.batch = flight.NewBatcher(s.runPlanBatch)
 	// Every live-version swap (promote/rollback/reload) drops the old
 	// version's cached plans; a caller-provided hook still runs after.
 	lcOpts := opts.Lifecycle
@@ -458,9 +458,7 @@ func (s *Server) handleDispatch(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(req.Context(), s.timeout)
-	defer cancel()
-	body, degraded, rung, err := s.dispatch(ctx, &dreq)
+	body, degraded, rung, err := s.dispatch(req.Context(), &dreq)
 	if rung != "" {
 		w.Header().Set(rungHeader, rung)
 	}
@@ -479,21 +477,36 @@ func (s *Server) handleDispatch(w http.ResponseWriter, req *http.Request) {
 
 // dispatch serves one request at the degradation ladder's current step
 // (admission.go has the rung taxonomy; DESIGN.md §15 the invariants).
-// Plan-cache hits are served at every step — they are the cheapest
-// possible answer and already byte-identical to fresh computation
-// (D10) — so degradation only changes what happens on a miss.
+// Every request makes one plan-cache lookup and feeds the ladder one
+// pressure update. A hit is the cheapest possible answer and already
+// byte-identical to fresh computation (D10), so it is served at every
+// step before any timer, gate slot or goroutine exists; degradation only
+// changes what happens on a miss.
 func (s *Server) dispatch(ctx context.Context, dreq *DispatchRequest) (body []byte, degraded bool, rung string, err error) {
+	// Re-arming the feedback loop on a hit (records.Put, evalShadow)
+	// happens inside cachedBody: the record may have been evicted from
+	// the FIFO store since the plan was cached, and a dark-launched
+	// shadow still sees every dispatch, cached or not. The lookup comes
+	// first so that a miss reads the ladder step right before the gate:
+	// with the lookup's locks in between, a burst could pass step 0
+	// before its first members occupy any gate slot.
+	hit := s.cachedBody(dreq)
 	step := s.ladderStep()
+	if step > 0 {
+		obs.Inc("serve.ladder.degraded")
+	}
+	if hit != nil {
+		if step == 0 {
+			return hit, false, rungFull, nil
+		}
+		obs.Inc("serve.ladder.rung.cached")
+		return hit, false, rungCached, nil
+	}
 	if step == 0 {
 		body, degraded, err = s.computeDispatch(ctx, dreq)
 		return body, degraded, rungFull, err
 	}
 
-	obs.Inc("serve.ladder.degraded")
-	if body := s.cachedBody(dreq); body != nil {
-		obs.Inc("serve.ladder.rung.cached")
-		return body, false, rungCached, nil
-	}
 	// Coarse fallback: the same request with its budget quantized down
 	// onto the coarse grid. The coarse body is exactly the full body of
 	// the quantized request — deterministic (D13) and shared across
@@ -523,8 +536,9 @@ func (s *Server) dispatch(ctx context.Context, dreq *DispatchRequest) (body []by
 }
 
 // cachedBody returns the cached response bytes for dreq against the
-// current live version (re-arming the feedback loop exactly like the
-// dispatchBody fast path), or nil on a miss.
+// current live version, re-arming the feedback loop, or nil on a miss.
+// The key is built into pooled scratch, so a hit allocates nothing (a
+// test pins this).
 func (s *Server) cachedBody(dreq *DispatchRequest) []byte {
 	ver, ok := s.mgr.LiveVersion(dreq.ModelPath)
 	if !ok {
@@ -542,21 +556,24 @@ func (s *Server) cachedBody(dreq *DispatchRequest) []byte {
 	return e.body
 }
 
-// computeDispatch runs dispatchBody under the in-flight gate and the
-// request's context: the optimizer is not context-aware, so the work
-// runs in a goroutine and the request gives up (504) when the deadline
-// fires first. The gate slot is taken *before* the goroutine is
-// spawned and released by the goroutine itself, so a burst of
-// timed-out requests abandons at most Cap running computations — the
-// rest fail their Acquire and never start (the goroutine-leak fix).
-// Timed-out and completed requests feed the timeout window the ladder
-// reads as pressure.
+// computeDispatch runs dispatchBody under the request timeout, the
+// in-flight gate and the request's context: the optimizer is not
+// context-aware, so the work runs in a goroutine and the request gives
+// up (504) when the deadline fires first. The gate slot is taken
+// *before* the goroutine is spawned and released by the goroutine
+// itself, so a burst of timed-out requests abandons at most Cap running
+// computations — the rest fail their Acquire and never start (the
+// goroutine-leak fix). Timed-out and completed computations feed the
+// timeout window the ladder reads as pressure; plan-cache hits never get
+// here, so the window counts computations only.
 func (s *Server) computeDispatch(ctx context.Context, dreq *DispatchRequest) ([]byte, bool, error) {
 	type result struct {
 		body     []byte
 		degraded bool
 		err      error
 	}
+	ctx, cancel := context.WithTimeout(ctx, s.timeout)
+	defer cancel()
 	if s.gate != nil {
 		if err := s.gate.Acquire(ctx); err != nil {
 			obs.Inc("serve.dispatch.queue_timeout")
@@ -584,36 +601,13 @@ func (s *Server) computeDispatch(ctx context.Context, dreq *DispatchRequest) ([]
 	}
 }
 
-// planWork is one queued dispatch computation: the request plus the
-// live model pinned at resolution time, so every member of a batch is
-// computed against exactly the version its cache key names. ctx is the
-// submitting request's context — the batch pass sheds items whose
-// caller already gave up instead of optimizing for nobody.
-type planWork struct {
-	ctx  context.Context
-	dreq *DispatchRequest
-	tr   *core.Trained
-	ver  string
-}
-
-// dispatchBody produces the serialized response for one dispatch.
-//
-// Fast path: if the model is already resolved, the plan-cache key is
-// built into pooled scratch and looked up — a hit returns the cached
-// bytes with zero heap allocations (a test pins this). Miss path: the
-// live model is resolved (possibly degrading), then the computation is
-// coalesced through the batcher — concurrent identical dispatches
-// collapse onto one slot, concurrent distinct dispatches run as one
-// batched pass — and the result lands in the plan cache.
+// dispatchBody computes the serialized response for a plan-cache miss.
+// The live model is resolved (possibly degrading), then the computation
+// runs as a singleflight under the plan-cache key, with the version
+// pinned here so a promote landing mid-flight can never mix versions
+// within one response: concurrent identical dispatches collapse onto one
+// computation (invariant D12), and its result lands in the plan cache.
 func (s *Server) dispatchBody(ctx context.Context, dreq *DispatchRequest) (body []byte, degraded bool, err error) {
-	// Re-arming the feedback loop on a hit (records.Put, evalShadow)
-	// happens inside cachedBody: the record may have been evicted from
-	// the FIFO store since the plan was cached, and a dark-launched
-	// shadow still sees every dispatch, cached or not.
-	if body := s.cachedBody(dreq); body != nil {
-		return body, false, nil
-	}
-
 	tr, ver, err := s.liveModel(ctx, dreq.ModelPath)
 	if err != nil {
 		if dreq.Strict || !errors.Is(err, ErrModelUnavailable) {
@@ -641,25 +635,31 @@ func (s *Server) dispatchBody(ctx context.Context, dreq *DispatchRequest) (body 
 		return body, true, nil
 	}
 
-	// Coalesce the computation under the same key the plan cache uses —
-	// with the version pinned here, so a promote landing mid-batch can
-	// never mix versions within one response. Forget after Do keeps the
-	// batcher bounded (the plan cache is the durable layer) and makes
-	// errors retryable.
 	kb := planKeyPool.Get().(*planKey)
 	appendPlanKey(kb, dreq, ver)
 	key := string(kb.buf)
 	kb.release()
-	wk := planWork{ctx: ctx, dreq: dreq, tr: tr, ver: ver}
-	body, err, _ = s.batch.Do(key, wk)
-	s.batch.Forget(key)
-	if err != nil && flight.TransientContextError(err) && ctx.Err() == nil {
+	// Forget after Do keeps the group bounded (the plan cache is the
+	// durable layer) and leaves no error behind for the next request.
+	flown := func() ([]byte, error) {
+		body, err, _ := s.flights.Do(key, func() ([]byte, error) {
+			if err := ctx.Err(); err != nil {
+				// The leading request already timed out or hung up: shed
+				// the work instead of optimizing for nobody.
+				obs.Inc("serve.batch.shed")
+				return nil, err
+			}
+			return s.computePlan(key, dreq, tr, ver)
+		})
+		s.flights.Forget(key)
+		return body, err
+	}
+	body, err = flown()
+	if err != nil && isContextErr(err) && ctx.Err() == nil {
 		// A coalesced flight was shed on *another* caller's expired
-		// deadline; ours is alive, so retry as a fresh flight (the
-		// batcher did not cache the transient error).
+		// deadline; ours is alive, so retry once as a fresh flight.
 		obs.Inc("serve.batch.shed_retry")
-		body, err, _ = s.batch.Do(key, wk)
-		s.batch.Forget(key)
+		body, err = flown()
 	}
 	if err != nil {
 		return nil, false, err
@@ -667,36 +667,10 @@ func (s *Server) dispatchBody(ctx context.Context, dreq *DispatchRequest) (body 
 	return body, false, nil
 }
 
-// runPlanBatch is the batcher's batch function: one pass computing every
-// pending dispatch. The computations run sequentially in the leader
-// goroutine, so the optimizer's pooled arena scratch is reused across
-// the whole batch instead of contended across goroutines. Each result
-// depends only on its own (request, pinned model) — grouping can never
-// change a body (invariant D12).
-func (s *Server) runPlanBatch(keys []string, works []planWork) ([][]byte, []error) {
-	bodies := make([][]byte, len(works))
-	errs := make([]error, len(works))
-	for i, wk := range works {
-		bodies[i], errs[i] = s.computePlan(keys[i], wk)
-	}
-	return bodies, errs
-}
-
 // computePlan optimizes one dispatch against its pinned model version,
 // records it for the feedback loop, dark-launch-evaluates any shadow,
 // serializes the response, and installs the bytes in the plan cache.
-func (s *Server) computePlan(key string, wk planWork) ([]byte, error) {
-	dreq, tr, ver := wk.dreq, wk.tr, wk.ver
-	if wk.ctx != nil {
-		if err := wk.ctx.Err(); err != nil {
-			// The submitting request already timed out or hung up:
-			// shed the work instead of optimizing for nobody. The
-			// context error is transient to the batcher, so a later
-			// identical dispatch recomputes instead of inheriting it.
-			obs.Inc("serve.batch.shed")
-			return nil, err
-		}
-	}
+func (s *Server) computePlan(key string, dreq *DispatchRequest, tr *core.Trained, ver string) ([]byte, error) {
 	plan, err := launch.DispatchTrained(&dreq.JobConfig, tr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrOptimize, err)
@@ -765,13 +739,18 @@ func (s *Server) computePlan(key string, wk planWork) ([]byte, error) {
 func (s *Server) liveModel(ctx context.Context, name string) (*core.Trained, string, error) {
 	tr, ver, err := s.mgr.Live(ctx, name)
 	if err != nil {
-		if errors.Is(err, ErrModelUnavailable) ||
-			errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		if errors.Is(err, ErrModelUnavailable) || isContextErr(err) {
 			return nil, "", err
 		}
 		return nil, "", fmt.Errorf("%w: %v", ErrModelUnavailable, err)
 	}
 	return tr, ver, nil
+}
+
+// isContextErr reports a context deadline expiry or cancellation — the
+// errors a timed-out, abandoned or shed computation surfaces.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 // reloadRequest is the body of POST /v1/reload. An empty body (or empty

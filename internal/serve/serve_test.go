@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -301,6 +303,79 @@ func TestServeRequestTimeout(t *testing.T) {
 	if eb.Error != "timeout" {
 		t.Fatalf("error code %q, want timeout", eb.Error)
 	}
+}
+
+// TestShedDispatchIsNotCached pins that a computation shed on its
+// caller's expired context leaves nothing behind: the identical request
+// with a live context is computed fresh and gets the cold bytes, also
+// after a storm of shed and live requests on one key.
+func TestShedDispatchIsNotCached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model; skipped with -short")
+	}
+	store := newFakeStore()
+	store.files["pso.json"] = trainedModelJSON(t)
+	_, want := postJSON(t, newTestServer(t, store).URL+"/v1/dispatch", dispatchBody)
+
+	// The plan cache is off, so every request below reaches the flight.
+	srv := New(Options{Store: store, Registry: RegistryOptions{RetryBase: time.Microsecond}, PlanCacheCap: -1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	var dreq DispatchRequest
+	if err := json.Unmarshal([]byte(dispatchBody), &dreq); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.mgr.Live(context.Background(), dreq.ModelPath); err != nil {
+		t.Fatal(err)
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	shed := obs.Default.Counter("serve.batch.shed").Value()
+	if _, _, err := srv.dispatchBody(expired, &dreq); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dispatch on an expired context: %v, want context.Canceled", err)
+	}
+	if got := obs.Default.Counter("serve.batch.shed").Value() - shed; got != 1 {
+		t.Fatalf("serve.batch.shed advanced by %d, want 1", got)
+	}
+	status, body := postJSON(t, ts.URL+"/v1/dispatch", dispatchBody)
+	if status != http.StatusOK {
+		t.Fatalf("live request after a shed: %d %s", status, body)
+	}
+	assertSameBody(t, "live request after a shed", body, want)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				ctx := context.Background()
+				if (w+i)%2 == 0 {
+					ctx = expired
+				}
+				// Either caller may join the other's flight: an expired
+				// one can share a live result, and a live one can see a
+				// shed twice in a row, so only the error kind is fixed.
+				body, _, err := srv.dispatchBody(ctx, &dreq)
+				switch {
+				case err != nil && !isContextErr(err):
+					t.Errorf("caller got %v, want nil or a context error", err)
+				case err == nil && !bytes.Equal(body, want):
+					t.Errorf("caller got %s, want %s", body, want)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := srv.flights.Len(); n != 0 {
+		t.Fatalf("%d flights left after the storm", n)
+	}
+	status, body = postJSON(t, ts.URL+"/v1/dispatch", dispatchBody)
+	if status != http.StatusOK {
+		t.Fatalf("live request after the storm: %d %s", status, body)
+	}
+	assertSameBody(t, "live request after the storm", body, want)
 }
 
 func TestServeReloadEndpoint(t *testing.T) {
