@@ -13,8 +13,7 @@ import (
 // each give 215 non-accurate configurations, and approximating gamma
 // costs work instead of saving it (a memoization whose bookkeeping
 // outweighs the reuse), so every configuration with gamma > 0 is
-// dominated by its gamma = 0 counterpart — the shape the Pareto-front
-// library prunes.
+// dominated by its gamma = 0 counterpart and never reaches a ladder.
 type benchApp struct{}
 
 func (benchApp) Name() string { return "bench" }
@@ -106,9 +105,9 @@ func BenchmarkOptimizeToy(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeColdMenu is the retained full-enumeration baseline a
-// cold dispatch pays without the library: every phase menu re-enumerates
-// all 215 configurations through the scalar predictor.
+// BenchmarkOptimizeColdMenu is the optimizer cost a cold dispatch pays:
+// every phase menu ranks all 215 configurations in one batched predict
+// pass.
 func BenchmarkOptimizeColdMenu(b *testing.B) {
 	tr := trainBench(b)
 	p := apps.DefaultParams(benchApp{})
@@ -116,37 +115,6 @@ func BenchmarkOptimizeColdMenu(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := tr.Optimize(p, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptimizeColdLibrary is the same cold dispatch with the
-// Pareto-front library warm: menus are built over the pruned survivors
-// in one batched predict pass per phase.
-func BenchmarkOptimizeColdLibrary(b *testing.B) {
-	tr := trainBench(b)
-	if err := tr.EnableFrontLibrary(); err != nil {
-		b.Fatal(err)
-	}
-	p := apps.DefaultParams(benchApp{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tr.Optimize(p, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFrontBuild prices tier 1: the once-per-model-version batched
-// evaluation and dominance pruning of the whole configuration space.
-func BenchmarkFrontBuild(b *testing.B) {
-	tr := trainBench(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.BuildFrontLibrary(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"opprox/internal/approx"
@@ -209,14 +210,10 @@ type Trained struct {
 	// CalibrateCanary); nil when the models are used as trained.
 	calib *canaryShift
 
-	// library holds the Pareto-front plan library (DESIGN.md §14): per
-	// (class, phase) the configurations that survive dominance pruning
-	// over a sample of training parameter vectors. Built at train time
-	// when Options.FrontLibrary is set, reconstructed by LoadTrained from
-	// the persisted survivor sets, or built on demand by
-	// EnableFrontLibrary. frontOn gates whether Optimize consults it.
-	library *planLibrary
-	frontOn bool
+	// space is the non-accurate configuration space, built on first use
+	// by configSpace and shared read-only by every Optimize.
+	spaceOnce sync.Once
+	space     []approx.Config
 }
 
 // Train runs OPPROX's offline pipeline for an application: phase search,
@@ -314,11 +311,6 @@ func FitRecords(app apps.App, phases int, records []Record, opts Options, rng *r
 			return nil, fmt.Errorf("pooled class: %w", err)
 		}
 		t.Classes[pooledClass] = cm
-	}
-	if opts.FrontLibrary {
-		if err := t.BuildFrontLibrary(); err != nil {
-			return nil, fmt.Errorf("front library: %w", err)
-		}
 	}
 	return t, nil
 }

@@ -127,29 +127,29 @@ type calibDTO struct {
 	Degradation []float64 `json:"degradation"`
 }
 
-// libraryDTO persists the Pareto-front plan library's survivor sets
-// (DESIGN.md §14): per class, per phase, the strictly increasing
-// enumeration indices of the surviving configurations over the
-// non-accurate configuration space. Indices rather than level vectors
-// keep the encoding compact and make corruption detectable — every
-// index must round-trip through the block descriptors' enumeration.
-type libraryDTO struct {
-	// Classes maps control-flow signature to per-phase survivor indices.
-	Classes map[string][][]int `json:"classes"`
+// modelOptions is the persisted form of Options. Options carries no
+// json tags, so every field is written under its Go name. LegacyLibrary
+// is the switch of the removed Pareto-front plan library, which files
+// from earlier builds still carry: it is accepted and ignored on load,
+// and never written.
+type modelOptions struct {
+	Options
+	LegacyLibrary bool `json:"FrontLibrary,omitempty"`
 }
 
 type modelFile struct {
 	Version     int                 `json:"version"`
-	Opts        Options             `json:"options"`
+	Opts        modelOptions        `json:"options"`
 	Phases      int                 `json:"phases"`
 	Specs       []apps.ParamSpec    `json:"params"`
 	Blocks      []approx.Block      `json:"blocks"`
 	ControlFlow *tree.ClassifierDTO `json:"control_flow,omitempty"`
 	Classes     map[string]classDTO `json:"classes"`
 	Calibration *calibDTO           `json:"calibration,omitempty"`
-	// Library carries the front library's survivor sets; like
-	// Calibration, older builds reject files that include it.
-	Library *libraryDTO `json:"front_library,omitempty"`
+	// LegacyFronts is the survivor-set block of files saved with the
+	// removed plan library. Optimize ranks the whole space, so the block
+	// is accepted and ignored, and never written.
+	LegacyFronts json.RawMessage `json:"front_library,omitempty"`
 }
 
 // Save writes the trained models as versioned JSON. Training records are
@@ -157,7 +157,7 @@ type modelFile struct {
 func (t *Trained) Save(w io.Writer) error {
 	mf := modelFile{
 		Version: modelFileVersion,
-		Opts:    t.Opts,
+		Opts:    modelOptions{Options: t.Opts},
 		Phases:  t.Phases,
 		Specs:   t.Specs,
 		Blocks:  t.Blocks,
@@ -171,17 +171,6 @@ func (t *Trained) Save(w io.Writer) error {
 			Speedup:     append([]float64(nil), t.calib.spd...),
 			Degradation: append([]float64(nil), t.calib.deg...),
 		}
-	}
-	if t.library != nil {
-		ld := &libraryDTO{Classes: make(map[string][][]int, len(t.library.classes))}
-		for sig, cf := range t.library.classes {
-			phases := make([][]int, len(cf.phase))
-			for ph, pf := range cf.phase {
-				phases[ph] = append([]int{}, pf.idx...)
-			}
-			ld.Classes[sig] = phases
-		}
-		mf.Library = ld
 	}
 	for sig, cm := range t.Classes {
 		cd := classDTO{CtxSig: cm.CtxSig}
@@ -230,7 +219,7 @@ func LoadTrained(r io.Reader) (*Trained, error) {
 			mf.Phases, len(mf.Blocks), len(mf.Classes))
 	}
 	t := &Trained{
-		Opts:    mf.Opts,
+		Opts:    mf.Opts.Options,
 		Phases:  mf.Phases,
 		Specs:   mf.Specs,
 		Blocks:  mf.Blocks,
@@ -314,67 +303,5 @@ func LoadTrained(r io.Reader) (*Trained, error) {
 		}
 		t.Classes[sig] = cm
 	}
-	if mf.Library != nil {
-		if err := t.importLibrary(mf.Library); err != nil {
-			return nil, fmt.Errorf("core: model file front library: %w", err)
-		}
-	}
 	return t, nil
-}
-
-// importLibrary reconstructs the Pareto-front plan library from its
-// persisted survivor indices and switches the optimizer onto it. Every
-// index is validated against the enumeration of the block descriptors in
-// the same file, so a truncated or hand-edited library fails at load
-// time instead of producing silently wrong plans.
-func (t *Trained) importLibrary(ld *libraryDTO) error {
-	if len(ld.Classes) == 0 {
-		return fmt.Errorf("library block has no classes")
-	}
-	space := enumerateSpace(t.Blocks)
-	lib := &planLibrary{classes: make(map[string]*classFronts, len(ld.Classes))}
-	sigs := make([]string, 0, len(ld.Classes))
-	for sig := range ld.Classes {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	for _, sig := range sigs {
-		if _, ok := t.Classes[sig]; !ok {
-			return fmt.Errorf("library covers unknown class %q", sig)
-		}
-		phases := ld.Classes[sig]
-		if len(phases) != t.Phases {
-			return fmt.Errorf("library class %q has %d phases, model has %d", sig, len(phases), t.Phases)
-		}
-		cf := &classFronts{phase: make([]*phaseFront, len(phases))}
-		for ph, idx := range phases {
-			pf := &phaseFront{}
-			prev := -1
-			for _, j := range idx {
-				if j <= prev || j >= len(space) {
-					return fmt.Errorf("library class %q phase %d: survivor index %d invalid (previous %d, space %d)",
-						sig, ph, j, prev, len(space))
-				}
-				prev = j
-				pf.idx = append(pf.idx, j)
-				pf.cfgs = append(pf.cfgs, space[j])
-			}
-			cf.phase[ph] = pf
-		}
-		lib.classes[sig] = cf
-	}
-	for _, sig := range t.classSigs() {
-		if _, ok := lib.classes[sig]; !ok {
-			return fmt.Errorf("library is missing class %q", sig)
-		}
-	}
-	// The persisted survivor sets were pruned under the calibration
-	// persisted in the same file (Save runs them through the same
-	// predictConfigsBatch), which LoadTrained installed before calling
-	// here — record it so a later recalibration re-prunes only phases
-	// whose shifts move.
-	lib.calSpd, lib.calDeg = t.calibVectors()
-	t.library = lib
-	t.frontOn = true
-	return nil
 }

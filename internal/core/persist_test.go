@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -326,5 +329,95 @@ func TestDiagnosePhaseMatchesPrediction(t *testing.T) {
 	}
 	if _, err := tr.DiagnosePhase(p, tr.Phases, approx.Config{0, 0}); err == nil {
 		t.Fatal("accepted out-of-range phase")
+	}
+}
+
+// legacyPlan is one entry of testdata/legacy-bench-plans.golden.json.
+type legacyPlan struct {
+	Params   apps.Params
+	Budget   float64
+	Schedule approx.Schedule
+	Pred     Prediction
+}
+
+func loadModelFile(t *testing.T, name string) *Trained {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := LoadTrained(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return tr
+}
+
+// TestLoadLegacyFrontLibraryModel loads bench-app models saved by a build
+// that still had the Pareto-front plan library: one trained with the
+// library on (an "options" FrontLibrary key plus a top-level
+// front_library block) and the same model without it (the FrontLibrary
+// key only). Both must load under DisallowUnknownFields, reproduce the
+// plans that build served (testdata/legacy-bench-plans.golden.json), give
+// byte-identical plans at inputs the models never saw, and re-save to
+// the same bytes with neither legacy key.
+func TestLoadLegacyFrontLibraryModel(t *testing.T) {
+	legacy := loadModelFile(t, "legacy-bench-front-library.json")
+	plain := loadModelFile(t, "legacy-bench-plain.json")
+
+	golden, err := os.ReadFile(filepath.Join("testdata", "legacy-bench-plans.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []legacyPlan
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]legacyPlan, len(want))
+	for i, w := range want {
+		sched, pred, err := legacy.Optimize(w.Params, w.Budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = legacyPlan{w.Params, w.Budget, sched, pred}
+	}
+	enc, err := json.MarshalIndent(got, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, golden) {
+		t.Fatalf("legacy model no longer serves the plans it served before:\n got %s\nwant %s", enc, golden)
+	}
+
+	rng := rand.New(rand.NewSource(29))
+	for _, p := range randomParams(benchApp{}.Params(), 20, rng) {
+		b := 30 * rng.Float64()
+		s1, p1, err := legacy.Optimize(p, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, p2, err := plain.Optimize(p, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := planBytes(t, s1, p1), planBytes(t, s2, p2); !bytes.Equal(g, w) {
+			t.Fatalf("params %v budget %g: library-saved model plans %s, plain model %s", p, b, g, w)
+		}
+	}
+
+	var lb, pb bytes.Buffer
+	if err := legacy.Save(&lb); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Save(&pb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lb.Bytes(), pb.Bytes()) {
+		t.Fatal("re-saved legacy models differ")
+	}
+	for _, key := range []string{`"FrontLibrary"`, `"front_library"`} {
+		if bytes.Contains(lb.Bytes(), []byte(key)) {
+			t.Fatalf("re-saved model still writes the legacy key %s", key)
+		}
 	}
 }

@@ -49,8 +49,7 @@ var ErrNoRefit = errors.New("core: no phase group had enough feedback rows to re
 // phases now behave alike, so their rows pool). nil means every phase
 // refits alone. Groups with fewer than minRows rows keep their trained
 // models. Calibration shifts of refit phases are zeroed — the refit
-// absorbed the drift the shifts were correcting — and, when a front
-// library is built, the refit phases are re-pruned in place.
+// absorbed the drift the shifts were correcting.
 //
 // Determinism: classes refit in sorted-signature order, groups in the
 // given order, rows in the caller's order, all sharing one seeded rng —
@@ -197,17 +196,6 @@ func (t *Trained) RetrainGlobal(samples []FeedbackSample, groups [][]int, minRow
 		}
 		if allZero {
 			t.calib = nil
-		}
-	}
-	if t.library != nil {
-		if err := t.rebuildFrontPhases(phases); err != nil {
-			return nil, err
-		}
-		// Non-refit phases may also have changed shifts (zeroing above
-		// only touches refit phases, but the caller may have folded new
-		// shifts in first) — bring the rest of the library current too.
-		if _, err := t.RefreshFrontLibrary(); err != nil {
-			return nil, err
 		}
 	}
 	obs.Inc("core.refit.runs")

@@ -1,93 +1,22 @@
 package core
 
-// Tests for the incremental Pareto-front refresh (RefreshFrontLibrary)
-// and the feedback-driven global refit (RetrainGlobal) — the two core
-// entry points the online retraining pipeline drives.
+// Tests for the feedback-driven global refit (RetrainGlobal), the core
+// entry point the online retraining pipeline drives.
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"opprox/internal/approx"
 	"opprox/internal/apps"
 )
 
-// TestRefreshFrontLibraryMatchesFullRebuild pins the incremental
-// refresh's exactness: after a calibration change touching one phase,
-// re-pruning only that phase must produce a model bitwise identical to
-// a full library rebuild — calibration enters pruning strictly
-// per-phase, so the shortcut is lossless.
-func TestRefreshFrontLibraryMatchesFullRebuild(t *testing.T) {
-	opts := fastOptions()
-	opts.FrontLibrary = true
-	tr, err := Train(apps.NewRunner(toyApp{}), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	load := func() *Trained {
-		m, err := LoadTrained(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	incr, full := load(), load()
-
-	// Shift a single phase's calibration; every other phase stays at 0.
-	spd := make([]float64, tr.Phases)
-	deg := make([]float64, tr.Phases)
-	spd[1], deg[1] = 0.25, 0.1
-	if err := incr.SetCalibration(spd, deg); err != nil {
-		t.Fatal(err)
-	}
-	changed, err := incr.RefreshFrontLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(changed, []int{1}) {
-		t.Fatalf("refresh re-pruned phases %v, want [1]", changed)
-	}
-
-	if err := full.SetCalibration(spd, deg); err != nil {
-		t.Fatal(err)
-	}
-	if err := full.BuildFrontLibrary(); err != nil {
-		t.Fatal(err)
-	}
-
-	var ib, fb bytes.Buffer
-	if err := incr.Save(&ib); err != nil {
-		t.Fatal(err)
-	}
-	if err := full.Save(&fb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ib.Bytes(), fb.Bytes()) {
-		t.Fatal("incremental refresh diverges bitwise from a full rebuild")
-	}
-
-	// Idempotence: nothing shifted since the refresh, so a second call
-	// re-prunes nothing.
-	again, err := incr.RefreshFrontLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 0 {
-		t.Fatalf("no-op refresh re-pruned phases %v", again)
-	}
-}
-
 // shiftedSamples builds feedback rows from the model's own predictions
 // with a constant shift on the training scales — realizable telemetry
 // whose best global fit is known to exist.
 func shiftedSamples(t *testing.T, tr *Trained, sShift, dShift float64) []FeedbackSample {
 	t.Helper()
-	cfgs := enumerateSpace(tr.Blocks)
+	cfgs := tr.configSpace()
 	var samples []FeedbackSample
 	for _, size := range []float64{10, 20} {
 		p := apps.Params{"size": size}
@@ -118,9 +47,7 @@ func shiftedSamples(t *testing.T, tr *Trained, sShift, dShift float64) []Feedbac
 // identical artifacts (the core half of invariant D14), plus a clean
 // save/load round trip of the refit model.
 func TestRetrainGlobalDeterministicRoundTrip(t *testing.T) {
-	opts := fastOptions()
-	opts.FrontLibrary = true
-	tr, err := Train(apps.NewRunner(toyApp{}), opts)
+	tr, err := Train(apps.NewRunner(toyApp{}), fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,8 +97,8 @@ func PutInts(s *[]int) {
 }
 
 // Slab carves many float buffers out of one pooled allocation. Callers
-// that need a handful of related scratch vectors (the batched
-// prediction passes of the Pareto-front library carve a dozen) take one
+// that need a handful of related scratch vectors (the optimizer's
+// batched prediction passes carve a dozen) take one
 // Slab sized for the sum instead of a pool round-trip per vector, and
 // release everything with a single Release. Carved slices follow arena
 // rules: uninitialized on Floats, invalid after Release.

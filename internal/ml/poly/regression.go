@@ -200,8 +200,8 @@ func (m *Model) PredictInto(dst []float64, xs [][]float64) {
 // term order. The arithmetic per row — standardize, termVal, ordered
 // sum — is exactly PredictScratch's, so the batched predictions are
 // bit-for-bit identical to the scalar path (equivalence tests pin
-// this). The Pareto-front plan library uses it to evaluate a phase's
-// whole configuration space in one pass.
+// this). The optimizer uses it to rank a phase's whole configuration
+// space in one pass.
 func (m *Model) PredictBatch(dst []float64, xs [][]float64) error {
 	if len(dst) != len(xs) {
 		return fmt.Errorf("poly: PredictBatch dst length %d for %d rows", len(dst), len(xs))

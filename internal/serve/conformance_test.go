@@ -199,6 +199,154 @@ func TestServingConformanceAcrossPromoteRollback(t *testing.T) {
 	assertSameBody(t, "post-rollback cache hit", conformanceDispatch(t, ts.URL), original)
 }
 
+// legacyFrontLibraryModel rewrites a saved model the way builds with the
+// removed Pareto-front plan library wrote it: a FrontLibrary key inside
+// "options" and a top-level "front_library" block of per-class,
+// per-phase survivor indices.
+func legacyFrontLibraryModel(t *testing.T, plain []byte) []byte {
+	t.Helper()
+	var file map[string]json.RawMessage
+	if err := json.Unmarshal(plain, &file); err != nil {
+		t.Fatal(err)
+	}
+	var opts map[string]json.RawMessage
+	if err := json.Unmarshal(file["options"], &opts); err != nil {
+		t.Fatal(err)
+	}
+	opts["FrontLibrary"] = json.RawMessage("true")
+	var classes map[string]json.RawMessage
+	if err := json.Unmarshal(file["classes"], &classes); err != nil {
+		t.Fatal(err)
+	}
+	var phases int
+	if err := json.Unmarshal(file["phases"], &phases); err != nil {
+		t.Fatal(err)
+	}
+	survivors := make(map[string][][]int, len(classes))
+	for class := range classes {
+		for p := 0; p < phases; p++ {
+			survivors[class] = append(survivors[class], []int{1, 2, 5})
+		}
+	}
+	var err error
+	if file["options"], err = json.Marshal(opts); err != nil {
+		t.Fatal(err)
+	}
+	if file["front_library"], err = json.Marshal(map[string]any{"classes": survivors}); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return legacy
+}
+
+// servedPlan is a dispatch body without the fields that hash the model
+// file's bytes (model version and the dispatch ID derived from it), so
+// two files holding the same model can be compared by what they serve.
+func servedPlan(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var dr DispatchResponse
+	if err := json.Unmarshal(body, &dr); err != nil {
+		t.Fatal(err)
+	}
+	dr.ModelVersion, dr.DispatchID = "", ""
+	plan, err := json.Marshal(dr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// TestServingConformanceFrontLibrary serves a model file written by a
+// build with the removed Pareto-front plan library (-front-library). The
+// file must load, and serve the same plan as the plain file — cold,
+// cached, and at every step of a promote -> rollback drill run in
+// lockstep on a plain and a legacy server. Within the legacy server the
+// usual byte identities hold: cache hits, a fresh server on the promoted
+// store, and the original bytes again after rollback. The promoted shadow
+// is re-saved by this build, so it no longer carries the legacy keys.
+func TestServingConformanceFrontLibrary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model; skipped with -short")
+	}
+	plainStore := newFakeStore()
+	plainStore.files["pso.json"] = trainedModelJSON(t)
+	legacyStore := newFakeStore()
+	legacyStore.files["pso.json"] = legacyFrontLibraryModel(t, trainedModelJSON(t))
+
+	plainSrv := newTestServer(t, plainStore)
+	want := servedPlan(t, conformanceDispatch(t, plainSrv.URL))
+	legacySrv := newTestServer(t, legacyStore)
+	cold := conformanceDispatch(t, legacySrv.URL)
+	assertSameBody(t, "legacy file cold", servedPlan(t, cold), want)
+	assertSameBody(t, "legacy file cache hit", conformanceDispatch(t, legacySrv.URL), cold)
+
+	// Promote -> rollback, driven identically on both stores.
+	servers := make([]string, 2)
+	for i, store := range []*fakeStore{plainStore, legacyStore} {
+		opts := pilotOptions(store)
+		opts.Lifecycle.DisableAutoPromote = true
+		ts := httptest.NewServer(New(opts).Handler())
+		t.Cleanup(ts.Close)
+		servers[i] = ts.URL
+	}
+	original := make([][]byte, 2)
+	for i, url := range servers {
+		original[i] = conformanceDispatch(t, url)
+	}
+	assertSameBody(t, "legacy pilot cold", original[1], cold)
+	for i, url := range servers {
+		var dr DispatchResponse
+		if err := json.Unmarshal(original[i], &dr); err != nil {
+			t.Fatal(err)
+		}
+		shadowed := false
+		for n := 0; n < 50 && !shadowed; n++ {
+			status, body := postJSON(t, url+"/v1/feedback", driftedFeedback(dr.DispatchID))
+			if status != http.StatusOK {
+				t.Fatalf("feedback: %d %s", status, body)
+			}
+			var fr feedbackResponse
+			if err := json.Unmarshal(body, &fr); err != nil {
+				t.Fatal(err)
+			}
+			shadowed = fr.ShadowCreated != ""
+		}
+		if !shadowed {
+			t.Fatalf("server %d: drift feedback never created a shadow", i)
+		}
+		if status, body := postJSON(t, url+"/v1/promote", `{"model": "pso.json"}`); status != http.StatusOK {
+			t.Fatalf("promote: %d %s", status, body)
+		}
+	}
+	promoted := conformanceDispatch(t, servers[1])
+	if bytes.Equal(promoted, original[1]) {
+		t.Fatal("promote did not change the served plan")
+	}
+	assertSameBody(t, "legacy post-promote", servedPlan(t, promoted), servedPlan(t, conformanceDispatch(t, servers[0])))
+	assertSameBody(t, "legacy post-promote cache hit", conformanceDispatch(t, servers[1]), promoted)
+	fresh := newTestServer(t, legacyStore)
+	assertSameBody(t, "fresh server on promoted legacy store", conformanceDispatch(t, fresh.URL), promoted)
+	legacyStore.mu.Lock()
+	promotedFile := string(legacyStore.files["pso.json"])
+	legacyStore.mu.Unlock()
+	for _, key := range []string{`"FrontLibrary"`, `"front_library"`} {
+		if strings.Contains(promotedFile, key) {
+			t.Fatalf("promoted model file still carries legacy key %s", key)
+		}
+	}
+
+	for _, url := range servers {
+		if status, body := postJSON(t, url+"/v1/rollback", `{"model": "pso.json"}`); status != http.StatusOK {
+			t.Fatalf("rollback: %d %s", status, body)
+		}
+	}
+	assertSameBody(t, "legacy post-rollback", conformanceDispatch(t, servers[1]), original[1])
+	assertSameBody(t, "plain post-rollback", conformanceDispatch(t, servers[0]), original[0])
+}
+
 // TestShardedPromoteRollbackCoherence runs the lifecycle drill across a
 // 3-replica fleet through a non-owner replica: dispatch, feedback,
 // promote and rollback all route to the model's owner, so every replica
@@ -272,78 +420,6 @@ func TestShardedPromoteRollbackCoherence(t *testing.T) {
 	for _, n := range names {
 		assertSameBody(t, "post-rollback via "+n, conformanceDispatch(t, urls[n]), original)
 	}
-}
-
-// TestServingConformanceFrontLibrary extends the byte-identity matrix
-// with a sixth path: a server running with the Pareto-front plan library
-// (-front-library) must serve bodies byte-identical to the menu-path
-// baseline — cold, cached, and across a full promote -> rollback cycle,
-// where the OnLoad hook has to rebuild the library for the recalibrated
-// shadow and again for the restored original.
-func TestServingConformanceFrontLibrary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model; skipped with -short")
-	}
-	store := newFakeStore()
-	store.files["pso.json"] = trainedModelJSON(t)
-
-	menuSrv := newTestServer(t, store)
-	want := conformanceDispatch(t, menuSrv.URL)
-
-	withFront := func(o *Options) { o.FrontLibrary = true }
-	frontSrv := newTestServer(t, store, withFront)
-	assertSameBody(t, "front-library cold", conformanceDispatch(t, frontSrv.URL), want)
-	assertSameBody(t, "front-library cache hit", conformanceDispatch(t, frontSrv.URL), want)
-
-	// Promote -> rollback on a front-library server: the shadow version is
-	// recalibrated and re-loaded through the OnLoad hook, so every step
-	// must still track the menu path byte for byte.
-	opts := pilotOptions(store)
-	opts.Lifecycle.DisableAutoPromote = true
-	opts.FrontLibrary = true
-	srv := New(opts)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	original := conformanceDispatch(t, ts.URL)
-	assertSameBody(t, "front-library pilot cold", original, want)
-	var dr DispatchResponse
-	if err := json.Unmarshal(original, &dr); err != nil {
-		t.Fatal(err)
-	}
-	shadowed := false
-	for i := 0; i < 50 && !shadowed; i++ {
-		status, body := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(dr.DispatchID))
-		if status != http.StatusOK {
-			t.Fatalf("feedback: %d %s", status, body)
-		}
-		var fr feedbackResponse
-		if err := json.Unmarshal(body, &fr); err != nil {
-			t.Fatal(err)
-		}
-		shadowed = fr.ShadowCreated != ""
-	}
-	if !shadowed {
-		t.Fatal("drift feedback never created a shadow")
-	}
-	if status, body := postJSON(t, ts.URL+"/v1/promote", `{"model": "pso.json"}`); status != http.StatusOK {
-		t.Fatalf("promote: %d %s", status, body)
-	}
-	promoted := conformanceDispatch(t, ts.URL)
-	if bytes.Equal(promoted, original) {
-		t.Fatal("promote did not change the served plan")
-	}
-	// Menu path and front path agree on the promoted version too: a fresh
-	// menu-only server over the promoted store serves the same bytes.
-	menuPromoted := newTestServer(t, store)
-	assertSameBody(t, "menu server on promoted store", conformanceDispatch(t, menuPromoted.URL), promoted)
-	frontPromoted := newTestServer(t, store, withFront)
-	assertSameBody(t, "front server on promoted store", conformanceDispatch(t, frontPromoted.URL), promoted)
-
-	if status, body := postJSON(t, ts.URL+"/v1/rollback", `{"model": "pso.json"}`); status != http.StatusOK {
-		t.Fatalf("rollback: %d %s", status, body)
-	}
-	assertSameBody(t, "front-library post-rollback", conformanceDispatch(t, ts.URL), original)
 }
 
 // TestClusterEndpoint checks the introspection view from both a
